@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check chaos chaos-ckpt chaos-dist chaos-replica chaos-churn fuzz bench bench-tables bench-server bench-charwork bench-charlib bench-yield bench-smoke allocbudget determinism clean
+.PHONY: all build test vet fmt-check race check chaos chaos-ckpt chaos-dist chaos-replica chaos-churn fuzz bench bench-tables bench-server bench-charwork bench-charlib bench-yield bench-smoke allocbudget determinism clean
 
 all: build
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file must be gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -96,9 +100,9 @@ chaos-churn:
 bench-smoke:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x -timeout 20m ./...
 
-# The gate: vet + build + full suite under the race detector + perf and
-# crash-safety guards + the benchmark smoke pass.
-check: vet build race allocbudget determinism chaos chaos-ckpt chaos-dist chaos-replica chaos-churn bench-smoke
+# The gate: gofmt + vet + build + full suite under the race detector +
+# perf and crash-safety guards + the benchmark smoke pass.
+check: fmt-check vet build race allocbudget determinism chaos chaos-ckpt chaos-dist chaos-replica chaos-churn bench-smoke
 
 # Short fuzz pass over the Liberty/netlist parsers and the journaled
 # work-unit payload decoder.

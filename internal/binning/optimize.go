@@ -2,7 +2,6 @@ package binning
 
 import (
 	"math"
-	"sort"
 
 	"lvf2/internal/opt"
 	"lvf2/internal/stats"
@@ -26,12 +25,12 @@ func OptimizeBoundaries(d stats.Dist, prices []float64) (Boundaries, float64) {
 	if k < 1 {
 		return nil, 0
 	}
-	// Seed: quantiles at i/(k+1).
+	// Seed: quantiles at i/(k+1), inverted in one sweep.
 	seed := make([]float64, k)
-	for i := 0; i < k; i++ {
-		seed[i] = stats.Quantile(d, float64(i+1)/float64(k+1))
+	for i := range seed {
+		seed[i] = float64(i+1) / float64(k+1)
 	}
-	sort.Float64s(seed)
+	seed = stats.Quantiles(d, seed) // ascending ps: non-decreasing
 	scale := stats.Std(d)
 	if scale <= 0 || math.IsNaN(seed[0]) {
 		return seed, ExpectedRevenue(DistProbabilities(d, seed), prices)

@@ -156,6 +156,7 @@ func runDistChaos(t *testing.T, seed uint64) {
 	// from the journal.
 	var coordMu sync.Mutex
 	var coord *Coordinator
+	var coordHandler http.Handler // built once per coordinator: Handler registers its routes' metrics
 	var journal *checkpoint.Journal
 	newCoordinator := func() {
 		coordMu.Lock()
@@ -179,7 +180,7 @@ func runDistChaos(t *testing.T, seed uint64) {
 		if err != nil {
 			t.Fatalf("NewCoordinator: %v", err)
 		}
-		coord = c
+		coord, coordHandler = c, c.Handler()
 	}
 	current := func() *Coordinator {
 		coordMu.Lock()
@@ -188,7 +189,10 @@ func runDistChaos(t *testing.T, seed uint64) {
 	}
 	newCoordinator()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		current().Handler().ServeHTTP(w, r)
+		coordMu.Lock()
+		h := coordHandler
+		coordMu.Unlock()
+		h.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
 

@@ -26,9 +26,9 @@ type NelderMeadOptions struct {
 // no steady-state heap allocations. A Workspace is not safe for
 // concurrent use; the zero value is ready.
 type Workspace struct {
-	dim  int
-	pts  [][]float64
-	vals []float64
+	dim                        int
+	pts                        [][]float64
+	vals                       []float64
 	centroid, xr, xe, xc, best []float64
 }
 

@@ -413,14 +413,15 @@ func (s *Server) degradedModel(ra *resolvedArc, aq arcQuery, reason string) (cor
 }
 
 // quantileSamples draws n deterministic samples from d via the midpoint
-// quantile grid x_i = Q((i+½)/n) — reproducible by construction, which
-// is what makes cached and fresh fits bit-identical.
+// quantile grid x_i = Q((i+½)/n), inverted in one ascending sweep —
+// reproducible by construction, which is what makes cached and fresh
+// fits bit-identical.
 func quantileSamples(d stats.Dist, n int) []float64 {
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = stats.Quantile(d, (float64(i)+0.5)/float64(n))
+	ps := make([]float64, n)
+	for i := range ps {
+		ps[i] = (float64(i) + 0.5) / float64(n)
 	}
-	return xs
+	return stats.Quantiles(d, ps)
 }
 
 // -------------------------------------------------------------- DTO types

@@ -11,21 +11,34 @@ import (
 //
 //	f_max(x) = f_A(x)·F_B(x) + F_A(x)·f_B(x)
 //
-// over the union of both supports (each truncated at ±10σ).
+// over the union of both supports (each truncated at ±10σ). The density
+// is tabulated once at the Simpson nodes and every moment is formed from
+// that table.
 func MaxMoments(a, b stats.Dist) stats.SampleMoments {
 	sa, sb := stats.Std(a), stats.Std(b)
 	lo := math.Min(a.Mean()-10*sa, b.Mean()-10*sb)
 	hi := math.Max(a.Mean()+10*sa, b.Mean()+10*sb)
-	pdf := func(x float64) float64 {
-		return a.PDF(x)*b.CDF(x) + a.CDF(x)*b.PDF(x)
+	var xs, pdf, ys [simpsonN + 1]float64
+	h := (hi - lo) / simpsonN
+	for i := range xs {
+		x := lo + float64(i)*h
+		if i == simpsonN {
+			x = hi // exactly, not lo + n·h
+		}
+		xs[i] = x
+		pdf[i] = a.PDF(x)*b.CDF(x) + a.CDF(x)*b.PDF(x)
 	}
-	moment := func(f func(float64) float64) float64 {
-		return quadrature(f, lo, hi)
+	// moment integrates g(x)·f_max(x).
+	moment := func(g func(float64) float64) float64 {
+		for i, x := range xs {
+			ys[i] = g(x) * pdf[i]
+		}
+		return simpson(&ys, h)
 	}
-	m1 := moment(func(x float64) float64 { return x * pdf(x) })
-	m2 := moment(func(x float64) float64 { d := x - m1; return d * d * pdf(x) })
-	m3 := moment(func(x float64) float64 { d := x - m1; return d * d * d * pdf(x) })
-	m4 := moment(func(x float64) float64 { d := x - m1; return d * d * d * d * pdf(x) })
+	m1 := moment(func(x float64) float64 { return x })
+	m2 := moment(func(x float64) float64 { d := x - m1; return d * d })
+	m3 := moment(func(x float64) float64 { d := x - m1; return d * d * d })
+	m4 := moment(func(x float64) float64 { d := x - m1; return d * d * d * d })
 	sm := stats.SampleMoments{Mean: m1, Variance: m2}
 	if m2 > 0 {
 		sm.Skewness = m3 / math.Pow(m2, 1.5)
@@ -36,18 +49,19 @@ func MaxMoments(a, b stats.Dist) stats.SampleMoments {
 	return sm
 }
 
-// quadrature integrates f over [lo, hi] with 48 composite Simpson panels —
-// sufficient for the smooth max densities handled here.
-func quadrature(f func(float64) float64, lo, hi float64) float64 {
-	const n = 192 // must be even
-	h := (hi - lo) / n
-	sum := f(lo) + f(hi)
-	for i := 1; i < n; i++ {
-		x := lo + float64(i)*h
+// simpsonN is the node-interval count of the max-density quadrature: 96
+// composite Simpson panels, sufficient for the smooth max densities
+// handled here. It must be even.
+const simpsonN = 192
+
+// simpson applies the composite Simpson rule to samples ys taken h apart.
+func simpson(ys *[simpsonN + 1]float64, h float64) float64 {
+	sum := ys[0] + ys[simpsonN]
+	for i := 1; i < simpsonN; i++ {
 		if i%2 == 1 {
-			sum += 4 * f(x)
+			sum += 4 * ys[i]
 		} else {
-			sum += 2 * f(x)
+			sum += 2 * ys[i]
 		}
 	}
 	return sum * h / 3

@@ -4,10 +4,10 @@ import "math"
 
 // Batch evaluation APIs. The fitting and binning hot loops evaluate the
 // same distribution at thousands of points; the scalar PDF/CDF entry
-// points redo per-distribution setup (1/ω, the Owen's-T reduction and its
-// quadrature grid) for every sample and cost an interface dispatch per
-// call when reached through Dist. The batch forms hoist that setup out of
-// the inner loop and devirtualise the per-point calls.
+// points redo per-distribution setup (1/ω) for every sample and cost an
+// interface dispatch per call when reached through Dist. The batch forms
+// hoist that setup out of the inner loop and devirtualise the per-point
+// calls.
 
 // BatchCDF is implemented by distributions that can evaluate their CDF
 // over a batch of points more cheaply than repeated scalar calls. dst is
@@ -69,9 +69,7 @@ func (s SkewNormal) LogPDFs(dst, xs []float64) []float64 {
 	return dst
 }
 
-// CDFs evaluates the skew-normal CDF at every xs[i] into dst. The Owen's-T
-// argument reduction and Gauss-Legendre grid depend only on α, so they are
-// built once per batch instead of once per point.
+// CDFs evaluates the skew-normal CDF at every xs[i] into dst.
 func (s SkewNormal) CDFs(dst, xs []float64) []float64 {
 	dst = ensureLen(dst, len(xs))
 	if s.Omega <= 0 {
@@ -85,16 +83,9 @@ func (s SkewNormal) CDFs(dst, xs []float64) []float64 {
 		return dst
 	}
 	invOmega := 1 / s.Omega
-	if s.Alpha == 0 || math.IsNaN(s.Alpha) {
-		for i, x := range xs {
-			dst[i] = clamp01(StdNormCDF((x - s.Xi) * invOmega))
-		}
-		return dst
-	}
-	k := makeOwenKernel(s.Alpha)
 	for i, x := range xs {
 		z := (x - s.Xi) * invOmega
-		dst[i] = clamp01(StdNormCDF(z) - 2*k.T(z))
+		dst[i] = clamp01(StdNormCDF(z) - 2*OwenT(z, s.Alpha))
 	}
 	return dst
 }
@@ -107,96 +98,6 @@ func clamp01(c float64) float64 {
 		return 1
 	}
 	return c
-}
-
-// owenN is the total Gauss-Legendre node count of the Owen's-T quadrature
-// (8 panels × 16 points, matching owenTCore).
-const owenN = 128
-
-// owenKernel is Owen's T(·, a) for one fixed a: the |a|≤1 argument
-// reduction is decided and the quadrature nodes on the reduced interval
-// are expanded once, leaving only the exp-sum per evaluation point.
-type owenKernel struct {
-	sign float64 // T is odd in a
-	a    float64 // |a|
-	inva float64 // 1/|a| when big
-	inf  bool    // |a| = ∞: closed form
-	big  bool    // |a| > 1: classical reduction identity
-	c    [owenN]float64 // 1 + tᵢ² at each node of the reduced interval
-	w    [owenN]float64 // node weight / (2π (1 + tᵢ²)), panel width folded in
-}
-
-// makeOwenKernel builds the kernel for shape parameter a (any sign).
-func makeOwenKernel(a float64) owenKernel {
-	k := owenKernel{sign: 1}
-	if math.IsNaN(a) {
-		return k // a == 0 path: T ≡ 0
-	}
-	if a < 0 {
-		k.sign = -1
-		a = -a
-	}
-	k.a = a
-	if a == 0 {
-		return k
-	}
-	if math.IsInf(a, 1) {
-		k.inf = true
-		return k
-	}
-	u := a
-	if a > 1 {
-		k.big = true
-		k.inva = 1 / a
-		u = k.inva
-	}
-	const panels = 8
-	pw := u / panels
-	hw := 0.5 * pw
-	idx := 0
-	for p := 0; p < panels; p++ {
-		mid := (float64(p) + 0.5) * pw
-		for i := 0; i < 16; i++ {
-			t := mid + hw*glNodes16[i]
-			ct := 1 + t*t
-			k.c[idx] = ct
-			k.w[idx] = hw * glWeights16[i] / (ct * 2 * math.Pi)
-			idx++
-		}
-	}
-	return k
-}
-
-// T evaluates Owen's T(h, a) for the kernel's a, matching OwenT.
-func (k *owenKernel) T(h float64) float64 {
-	if k.a == 0 || math.IsNaN(h) {
-		return 0
-	}
-	if h < 0 {
-		h = -h // T is even in h
-	}
-	var t float64
-	switch {
-	case k.inf:
-		t = 0.5 * (1 - StdNormCDF(h))
-	case k.big:
-		ah := k.a * h
-		t = 0.5*StdNormCDF(h) + 0.5*StdNormCDF(ah) -
-			StdNormCDF(h)*StdNormCDF(ah) - k.core(ah)
-	default:
-		t = k.core(h)
-	}
-	return k.sign * t
-}
-
-// core is the reduced-range quadrature: Σ wᵢ exp(−½h²(1+tᵢ²)).
-func (k *owenKernel) core(h float64) float64 {
-	e := -0.5 * h * h
-	var s float64
-	for i := 0; i < owenN; i++ {
-		s += k.w[i] * math.Exp(e*k.c[i])
-	}
-	return s
 }
 
 // CDFs evaluates the Gaussian CDF at every xs[i] into dst.

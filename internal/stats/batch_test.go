@@ -38,8 +38,8 @@ func cdfClose(a, b float64) bool {
 	return relDiff(a, b) <= 1e-11 || math.Abs(a-b) <= 1e-14
 }
 
-// TestSkewNormalCDFsMatchesScalar cross-checks the batch CDF (shared
-// Owen's-T kernel) against the scalar CDF over a wide shape × point grid.
+// TestSkewNormalCDFsMatchesScalar cross-checks the batch CDF against the
+// scalar CDF over a wide shape × point grid.
 // The two paths reassociate the 1/ω scaling, so agreement is relative.
 func TestSkewNormalCDFsMatchesScalar(t *testing.T) {
 	for _, alpha := range batchAlphas() {

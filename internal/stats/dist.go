@@ -33,33 +33,95 @@ type Source interface {
 // Std returns the standard deviation of d.
 func Std(d Dist) float64 { return math.Sqrt(d.Variance()) }
 
-// Quantile numerically inverts d.CDF by bisection. p must be in (0,1).
-// The search bracket is derived from the distribution's mean and standard
-// deviation and widened geometrically until it encloses p.
+// Quantile numerically inverts d.CDF at p ∈ (0,1): Quantiles for one
+// probability.
 func Quantile(d Dist, p float64) float64 {
-	if p <= 0 || p >= 1 || math.IsNaN(p) {
-		return math.NaN()
-	}
+	return Quantiles(d, []float64{p})[0]
+}
+
+// Quantiles inverts d.CDF at every ps[i], which should ascend; entries
+// outside (0,1) come back NaN, and the others are the mean when the
+// distribution has no spread. One bracket is derived from the mean ± 8
+// standard deviations, widened by that step until it encloses every p.
+// Each root is then found by safeguarded Newton on d.PDF, with bisection
+// whenever a step leaves the bracket or fails to halve; along ascending
+// ps the search starts from the previous root, whose F(lo) < p bound it
+// keeps. A root is the midpoint of a bracket F(lo) < p ≤ F(hi) narrower
+// than 1e-13·(1+|lo|), the bisection stopping rule, and the outputs for
+// ascending ps are non-decreasing.
+func Quantiles(d Dist, ps []float64) []float64 {
+	xs := make([]float64, len(ps))
 	m, s := d.Mean(), Std(d)
-	if s <= 0 || math.IsNaN(s) {
-		return m
-	}
-	lo, hi := m-8*s, m+8*s
-	for i := 0; d.CDF(lo) > p && i < 64; i++ {
-		lo -= 8 * s
-	}
-	for i := 0; d.CDF(hi) < p && i < 64; i++ {
-		hi += 8 * s
-	}
-	for i := 0; i < 200 && hi-lo > 1e-13*(1+math.Abs(lo)); i++ {
-		mid := 0.5 * (lo + hi)
-		if d.CDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
+	pmin, pmax := 1.0, 0.0
+	for i, p := range ps {
+		if p <= 0 || p >= 1 || math.IsNaN(p) {
+			xs[i] = math.NaN()
+			continue
 		}
+		xs[i] = m
+		pmin, pmax = math.Min(pmin, p), math.Max(pmax, p)
 	}
-	return 0.5 * (lo + hi)
+	if pmin > pmax || s <= 0 || math.IsNaN(s) {
+		return xs
+	}
+	bl, bh := m-8*s, m+8*s
+	for i := 0; d.CDF(bl) > pmin && i < 64; i++ {
+		bl -= 8 * s
+	}
+	for i := 0; d.CDF(bh) < pmax && i < 64; i++ {
+		bh += 8 * s
+	}
+	pPrev, lo, x, f := 2.0, bl, m, 0.0
+	for i, p := range ps {
+		if math.IsNaN(xs[i]) {
+			continue
+		}
+		xPrev := x
+		if p >= pPrev {
+			x += (p - pPrev) / f // Newton step from the previous root
+		} else {
+			lo, x = bl, m+s*StdNormQuantile(p)
+		}
+		hi, step := bh, bh-lo
+		for it := 0; it < 200; it++ {
+			if !(x > lo && x < hi) {
+				x = 0.5 * (lo + hi)
+			}
+			c := d.CDF(x)
+			if c < p {
+				lo = x
+			} else {
+				hi = x
+			}
+			tol := 1e-13 * (1 + math.Abs(lo))
+			if hi-lo <= tol {
+				break
+			}
+			f = d.PDF(x)
+			dx := (p - c) / f
+			switch {
+			case math.Abs(dx) < tol/2 && step >= tol:
+				// Converged: land just past the root to close the bracket.
+				if c < p {
+					dx += tol / 4
+				} else {
+					dx -= tol / 4
+				}
+			case !(math.Abs(dx) <= step/2):
+				// Out of reach, stalling (also on a CDF flat to the last
+				// ulp, where the nudge above did not close) or NaN.
+				dx = 0.5*(lo+hi) - x
+			}
+			step = math.Abs(dx)
+			x += dx
+		}
+		x = 0.5 * (lo + hi)
+		if p >= pPrev {
+			x = math.Max(x, xPrev)
+		}
+		xs[i], pPrev = x, p
+	}
+	return xs
 }
 
 // Interval returns P(a < X <= b) for the distribution d.

@@ -100,8 +100,9 @@ func ChiSquareGOF(model Dist, xs []float64, nbins, dofPenalty int) GOFResult {
 	// Equiprobable bin edges from model quantiles.
 	edges := make([]float64, nbins-1)
 	for i := range edges {
-		edges[i] = Quantile(model, float64(i+1)/float64(nbins))
+		edges[i] = float64(i+1) / float64(nbins)
 	}
+	edges = Quantiles(model, edges)
 	counts := make([]int, nbins)
 	for _, x := range xs {
 		i := sort.SearchFloat64s(edges, x)

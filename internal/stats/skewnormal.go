@@ -42,15 +42,8 @@ func (s SkewNormal) CDF(x float64) float64 {
 		return 1
 	}
 	z := (x - s.Xi) / s.Omega
-	c := StdNormCDF(z) - 2*OwenT(z, s.Alpha)
-	// Guard tiny quadrature noise at the tails.
-	if c < 0 {
-		return 0
-	}
-	if c > 1 {
-		return 1
-	}
-	return c
+	// Clamp guards tiny quadrature noise at the tails.
+	return clamp01(StdNormCDF(z) - 2*OwenT(z, s.Alpha))
 }
 
 // Mean returns ξ + ωδ√(2/π).
