@@ -104,13 +104,18 @@ bench-smoke:
 # perf and crash-safety guards + the benchmark smoke pass.
 check: fmt-check vet build race allocbudget determinism chaos chaos-ckpt chaos-dist chaos-replica chaos-churn bench-smoke
 
-# Short fuzz pass over the Liberty/netlist parsers and the journaled
-# work-unit payload decoder.
+# Short fuzz pass over every untrusted-input decoder: the Liberty/netlist
+# parsers, the journaled work-unit payload, the model-cache snapshot, the
+# fleet membership document and the parse stage of the lvf2d arc
+# queries. CI runs it as its own job, outside check's time budget.
 fuzz:
-	$(GO) test -fuzz FuzzParse -fuzztime 30s -run '^$$' ./internal/liberty/
-	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s -run '^$$' ./internal/liberty/
-	$(GO) test -fuzz FuzzParseNetlist -fuzztime 30s -run '^$$' ./internal/netlist/
-	$(GO) test -fuzz FuzzDecodeUnit -fuzztime 30s -run '^$$' ./internal/libbuild/
+	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 30s -run '^$$' ./internal/liberty/
+	$(GO) test -fuzz '^FuzzRoundTrip$$' -fuzztime 30s -run '^$$' ./internal/liberty/
+	$(GO) test -fuzz '^FuzzParseNetlist$$' -fuzztime 30s -run '^$$' ./internal/netlist/
+	$(GO) test -fuzz '^FuzzDecodeUnit$$' -fuzztime 30s -run '^$$' ./internal/libbuild/
+	$(GO) test -fuzz '^FuzzSnapshotDecode$$' -fuzztime 30s -run '^$$' ./internal/modelcache/
+	$(GO) test -fuzz '^FuzzParseMembership$$' -fuzztime 30s -run '^$$' ./internal/server/
+	$(GO) test -fuzz '^FuzzParseArcQuery$$' -fuzztime 30s -run '^$$' ./internal/server/
 
 # Micro benchmarks with memory stats, exported as BENCH_fit.json evidence.
 BENCH_FILTER = BenchmarkFit|BenchmarkSNCDF|BenchmarkCharacterizeArc|BenchmarkSSTASum|BenchmarkLibertyParse

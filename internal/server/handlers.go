@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -97,8 +98,7 @@ func parseKind(s string) (fit.Model, error) {
 	return 0, badRequest("unknown kind %q (want one of lvf|lvf2|norm2|lesn|ln|lsn|gaussian)", s)
 }
 
-func parseArcQuery(r *http.Request) (arcQuery, error) {
-	q := r.URL.Query()
+func parseArcQuery(q url.Values) (arcQuery, error) {
 	aq := arcQuery{
 		libRef: q.Get("lib"),
 		cell:   q.Get("cell"),
@@ -386,11 +386,8 @@ func (s *Server) degradedModel(ra *resolvedArc, aq arcQuery, reason string) (cor
 		return &degradedDTO{Rung: rung.String(), Requested: aq.kind.String(), Reason: reason}
 	}
 	if aq.kind != fit.ModelNorm2 {
-		k := modelcache.ModelKey{
-			LibHash: ra.src.hash, Cell: ra.cell.Name, OutputPin: ra.out.Name,
-			RelatedPin: ra.arc.RelatedPin, Base: aq.base,
-			Slew: aq.slew, Load: aq.load, Kind: fit.ModelNorm2,
-		}
+		k := cacheKeyFor(ra, aq)
+		k.Kind = fit.ModelNorm2
 		if m, ok := s.cache.Peek(k); ok {
 			return m, fit.ModelNorm2, deg(fit.ModelNorm2), nil
 		}
@@ -470,6 +467,74 @@ func dtoFromArc(ra *resolvedArc, aq arcQuery) arcDTO {
 	}
 }
 
+// ----------------------------------------------------------- arc pipeline
+
+// arcFit is what the arc pipeline hands an endpoint's answer step: the
+// resolved query and the model serving it.
+type arcFit struct {
+	ra   *resolvedArc
+	aq   arcQuery
+	m    core.Model
+	used fit.Model    // the kind actually served (differs from aq.kind only when deg is set)
+	deg  *degradedDTO // non-nil on a degradation-ladder answer
+}
+
+// dtos renders the arc and model blocks every arc response carries.
+func (f *arcFit) dtos() (arcDTO, modelDTO) {
+	return dtoFromArc(f.ra, f.aq), dtoFromModel(f.used, f.m)
+}
+
+// arcAnswer is an endpoint's answer step: it turns the served model into
+// the response body and returns the degraded tag the X-LVF2-Degraded
+// header carries. Every parameter it uses was checked by its parser, so
+// it cannot fail.
+type arcAnswer func(ctx context.Context, f *arcFit) (any, *degradedDTO)
+
+// arcParser is an endpoint's parse step: it validates the endpoint's own
+// query parameters and returns the answer step bound to them.
+type arcParser func(q url.Values) (arcAnswer, error)
+
+// parseArc is the pipeline's parse stage: the common arc coordinate and
+// the endpoint's own parameters, all checked before anything else runs.
+// Every error is a 4xx *httpError.
+func parseArc(q url.Values, parse arcParser) (arcQuery, arcAnswer, error) {
+	aq, err := parseArcQuery(q)
+	if err != nil {
+		return aq, nil, err
+	}
+	answer, err := parse(q)
+	return aq, answer, err
+}
+
+// serveArc is the one query path of GET /v1/arc/cdf, /v1/arc/binning and
+// /v1/yield: parse → resolve → forward → model → answer → write. Parsing
+// comes first, so a malformed query is a 400 that never leaves this
+// replica or starts a fit.
+func (s *Server) serveArc(w http.ResponseWriter, r *http.Request, parse arcParser) {
+	aq, answer, err := parseArc(r.URL.Query(), parse)
+	var ra *resolvedArc
+	if err == nil {
+		ra, err = s.resolveArc(aq)
+	}
+	if err != nil {
+		fail(w, r, err)
+		return
+	}
+	if s.maybeForward(w, r, ra, aq) {
+		return
+	}
+	f := &arcFit{ra: ra, aq: aq}
+	if f.m, f.used, f.deg, err = s.modelFor(r, ra, aq); err != nil {
+		fail(w, r, err)
+		return
+	}
+	resp, deg := answer(r.Context(), f)
+	if deg != nil {
+		w.Header().Set(degradedHeader, deg.Rung)
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
 // ------------------------------------------------------------ /v1/arc/cdf
 
 type cdfPoint struct {
@@ -488,60 +553,41 @@ type cdfResponse struct {
 }
 
 func (s *Server) handleArcCDF(w http.ResponseWriter, r *http.Request) {
-	aq, err := parseArcQuery(r)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	ra, err := s.resolveArc(aq)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	if s.maybeForward(w, r, ra, aq) {
-		return
-	}
-	m, used, deg, err := s.modelFor(r, ra, aq)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	if deg != nil {
-		w.Header().Set(degradedHeader, deg.Rung)
-	}
-	d := m.Dist()
-	mean, std := d.Mean(), stats.Std(d)
+	s.serveArc(w, r, parseCDF)
+}
 
+// parseCDF reads explicit points=, or else n= evenly spaced points over
+// mean ± 4σ (default 21), which covers the binning range with margin.
+func parseCDF(q url.Values) (arcAnswer, error) {
 	var xs []float64
-	if pts := r.URL.Query().Get("points"); pts != "" {
+	n := 21
+	var err error
+	if pts := q.Get("points"); pts != "" {
 		if xs, err = parseFloats(pts); err != nil {
-			fail(w, r, badRequest("bad points: %v", err))
-			return
+			return nil, badRequest("bad points: %v", err)
 		}
-	} else {
-		n := 21
-		if v := r.URL.Query().Get("n"); v != "" {
-			if n, err = strconv.Atoi(v); err != nil || n < 2 || n > 4096 {
-				fail(w, r, badRequest("bad n %q (want 2..4096)", v))
-				return
+	} else if v := q.Get("n"); v != "" {
+		if n, err = strconv.Atoi(v); err != nil || n < 2 || n > 4096 {
+			return nil, badRequest("bad n %q (want 2..4096)", v)
+		}
+	}
+	return func(_ context.Context, f *arcFit) (any, *degradedDTO) {
+		d := f.m.Dist()
+		mean, std := d.Mean(), stats.Std(d)
+		points := xs
+		if points == nil {
+			points = make([]float64, n)
+			for i := range points {
+				points[i] = mean - 4*std + 8*std*float64(i)/float64(n-1)
 			}
 		}
-		// Evenly spaced over mean ± 4σ: covers the binning range with
-		// margin.
-		xs = make([]float64, n)
-		for i := range xs {
-			xs[i] = mean - 4*std + 8*std*float64(i)/float64(n-1)
+		resp := cdfResponse{Degraded: f.deg, Mean: mean, Std: std, Points: make([]cdfPoint, len(points))}
+		resp.Arc, resp.Model = f.dtos()
+		for i, x := range points {
+			resp.Points[i] = cdfPoint{X: x, CDF: d.CDF(x), PDF: d.PDF(x)}
 		}
-	}
-	resp := cdfResponse{
-		Arc: dtoFromArc(ra, aq), Model: dtoFromModel(used, m), Degraded: deg,
-		Mean: mean, Std: std,
-		Points: make([]cdfPoint, len(xs)),
-	}
-	for i, x := range xs {
-		resp.Points[i] = cdfPoint{X: x, CDF: d.CDF(x), PDF: d.PDF(x)}
-	}
-	writeJSON(w, http.StatusOK, resp)
+		return resp, f.deg
+	}, nil
 }
 
 // -------------------------------------------------------- /v1/arc/binning
@@ -558,53 +604,42 @@ type binningResponse struct {
 	ExpectedRevenue *float64     `json:"expected_revenue,omitempty"`
 }
 
+// binCount is the number of speed bins the σ boundaries cut.
+var binCount = len(binning.SigmaBoundaries(0, 1)) + 1
+
 func (s *Server) handleArcBinning(w http.ResponseWriter, r *http.Request) {
-	aq, err := parseArcQuery(r)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	ra, err := s.resolveArc(aq)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	if s.maybeForward(w, r, ra, aq) {
-		return
-	}
-	m, used, deg, err := s.modelFor(r, ra, aq)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	if deg != nil {
-		w.Header().Set(degradedHeader, deg.Rung)
-	}
-	d := m.Dist()
-	mean, std := d.Mean(), stats.Std(d)
-	bounds := binning.SigmaBoundaries(mean, std)
-	probs := binning.DistProbabilities(d, bounds)
-	resp := binningResponse{
-		Arc: dtoFromArc(ra, aq), Model: dtoFromModel(used, m), Degraded: deg,
-		Mean: mean, Std: std,
-		Boundaries:    bounds,
-		Probabilities: probs,
-		Yield3Sigma:   binning.Yield3Sigma(d.CDF, mean, std),
-	}
-	if pv := r.URL.Query().Get("prices"); pv != "" {
-		prices, err := parseFloats(pv)
-		if err != nil {
-			fail(w, r, badRequest("bad prices: %v", err))
-			return
+	s.serveArc(w, r, parseBinning)
+}
+
+// parseBinning reads the optional prices= list, one price per bin.
+func parseBinning(q url.Values) (arcAnswer, error) {
+	var prices []float64
+	if pv := q.Get("prices"); pv != "" {
+		var err error
+		if prices, err = parseFloats(pv); err != nil {
+			return nil, badRequest("bad prices: %v", err)
 		}
-		if len(prices) != len(probs) {
-			fail(w, r, badRequest("prices wants %d values (one per bin), got %d", len(probs), len(prices)))
-			return
+		if len(prices) != binCount {
+			return nil, badRequest("prices wants %d values (one per bin), got %d", binCount, len(prices))
 		}
-		rev := binning.ExpectedRevenue(probs, prices)
-		resp.ExpectedRevenue = &rev
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return func(_ context.Context, f *arcFit) (any, *degradedDTO) {
+		d := f.m.Dist()
+		mean, std := d.Mean(), stats.Std(d)
+		bounds := binning.SigmaBoundaries(mean, std)
+		resp := binningResponse{
+			Degraded: f.deg, Mean: mean, Std: std,
+			Boundaries:    bounds,
+			Probabilities: binning.DistProbabilities(d, bounds),
+			Yield3Sigma:   binning.Yield3Sigma(d.CDF, mean, std),
+		}
+		resp.Arc, resp.Model = f.dtos()
+		if prices != nil {
+			rev := binning.ExpectedRevenue(resp.Probabilities, prices)
+			resp.ExpectedRevenue = &rev
+		}
+		return resp, f.deg
+	}, nil
 }
 
 // --------------------------------------------------------------- /v1/yield
@@ -633,106 +668,78 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 		s.handleNetlistYield(w, r)
 		return
 	}
-	aq, err := parseArcQuery(r)
+	s.serveArc(w, r, s.parseArcYield)
+}
+
+// parseArcYield reads the GET /v1/yield target and estimator parameters.
+func (s *Server) parseArcYield(q url.Values) (arcAnswer, error) {
+	yp, err := parseYieldParams(q)
 	if err != nil {
-		fail(w, r, err)
-		return
+		return nil, err
 	}
-	yp, err := parseYieldParams(r.URL.Query())
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	ra, err := s.resolveArc(aq)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	if s.maybeForward(w, r, ra, aq) {
-		return
-	}
-	m, used, deg, err := s.modelFor(r, ra, aq)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	d := m.Dist()
-	sigma := defaultYieldSigma
-	if yp.hasSigma {
-		sigma = yp.sigma
-	}
-	clock := d.Mean() + sigma*stats.Std(d)
-	if yp.hasClock {
-		clock = yp.clock
-	}
-	resp := yieldResponse{Degraded: deg, Clock: clock,
-		Yield: map[string]float64{used.String(): d.CDF(clock)}}
-	arc := dtoFromArc(ra, aq)
-	model := dtoFromModel(used, m)
-	resp.Arc, resp.Model = &arc, &model
-	if yp.estimator != "" {
-		resp.Estimate = s.estimateArcYield(r.Context(), ra, aq, d, clock, yp)
-		if deg == nil && resp.Estimate.Degraded != nil {
-			deg = resp.Estimate.Degraded
+	return func(ctx context.Context, f *arcFit) (any, *degradedDTO) {
+		d := f.m.Dist()
+		sigma := defaultYieldSigma
+		if yp.hasSigma {
+			sigma = yp.sigma
 		}
-	}
-	if deg != nil {
-		w.Header().Set(degradedHeader, deg.Rung)
-	}
-	writeJSON(w, http.StatusOK, resp)
+		clock := d.Mean() + sigma*stats.Std(d)
+		if yp.hasClock {
+			clock = yp.clock
+		}
+		resp := yieldResponse{Degraded: f.deg, Clock: clock,
+			Yield: map[string]float64{f.used.String(): d.CDF(clock)}}
+		arc, model := f.dtos()
+		resp.Arc, resp.Model = &arc, &model
+		deg := f.deg
+		if yp.estimator != "" {
+			resp.Estimate = s.estimateArcYield(ctx, f.ra, f.aq, d, clock, yp)
+			if deg == nil {
+				deg = resp.Estimate.Degraded
+			}
+		}
+		return resp, deg
+	}, nil
 }
 
 func (s *Server) handleNetlistYield(w http.ResponseWriter, r *http.Request) {
-	req, mod, lib, err := s.decodeNetlistRequest(r)
+	var yp yieldParams
+	run, err := s.runNetlist(r, func(req *netlistRequest) error {
+		yp = yieldParams{
+			sigma: req.Sigma, hasSigma: req.Sigma != 0,
+			clock: req.Clock, hasClock: req.Clock > 0,
+			estimator: req.Estimator, ci: req.CI,
+		}
+		if err := yp.validate(); err != nil {
+			return err
+		}
+		if !yp.hasClock && !yp.hasSigma {
+			return badRequest("netlist yield needs a positive clock (or sigma)")
+		}
+		return nil
+	})
 	if err != nil {
 		fail(w, r, err)
 		return
 	}
-	yp := yieldParams{
-		sigma: req.Sigma, hasSigma: req.Sigma != 0,
-		clock: req.Clock, hasClock: req.Clock > 0,
-		estimator: req.Estimator, ci: req.CI,
-	}
-	if err := yp.validate(); err != nil {
-		fail(w, r, err)
-		return
-	}
-	if !yp.hasClock && !yp.hasSigma {
-		fail(w, r, badRequest("netlist yield needs a positive clock (or sigma)"))
-		return
-	}
-	fams, err := parseFamilies(req.Families)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	res, err := sta.Run(lib, mod, sta.Options{InputSlew: req.Slew, Families: fams})
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	clock := req.Clock
+	clock := run.req.Clock
 	if !yp.hasClock {
 		// sigma target: clock = critical-output μ+sσ under the first
 		// requested family, shared by every family so the answers compare.
-		if clock, err = criticalClock(res, mod, fams[0], yp.sigma); err != nil {
+		if clock, err = criticalClock(run.res, run.mod, run.fams[0], yp.sigma); err != nil {
 			fail(w, r, err)
 			return
 		}
 	}
-	resp := yieldResponse{Clock: clock, Yield: make(map[string]float64, len(fams))}
-	for _, fam := range fams {
-		y, err := res.YieldAtClock(mod, fam, clock)
-		if err != nil {
-			fail(w, r, err)
-			return
-		}
-		resp.Yield[fam.String()] = y
+	resp := yieldResponse{Clock: clock}
+	if resp.Yield, err = run.yields(clock); err != nil {
+		fail(w, r, err)
+		return
 	}
 	if yp.estimator != "" {
-		resp.Estimates = make(map[string]*yieldEstimateDTO, len(fams))
-		for _, fam := range fams {
-			est, err := s.estimateNetlistYield(r.Context(), res, mod, fam, clock, yp)
+		resp.Estimates = make(map[string]*yieldEstimateDTO, len(run.fams))
+		for _, fam := range run.fams {
+			est, err := s.estimateNetlistYield(r.Context(), run.res, run.mod, fam, clock, yp)
 			if err != nil {
 				fail(w, r, err)
 				return
@@ -791,34 +798,41 @@ type netlistRequest struct {
 	CI        float64 `json:"ci,omitempty"`
 }
 
-func (s *Server) decodeNetlistRequest(r *http.Request) (netlistRequest, *netlist.Module, *liberty.Library, error) {
-	var req netlistRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+// netlistRun is a decoded netlist request together with its SSTA result.
+type netlistRun struct {
+	req  netlistRequest
+	mod  *netlist.Module
+	fams []fit.Model
+	res  *sta.Result
+}
+
+// runNetlist is the shared front half of POST /v1/ssta and POST
+// /v1/yield: decode the body, apply the endpoint's own check, parse the
+// model families and run SSTA.
+func (s *Server) runNetlist(r *http.Request, check func(*netlistRequest) error) (*netlistRun, error) {
+	run := &netlistRun{}
+	req := &run.req
+	body, err := s.readBody(r, "body")
 	if err != nil {
-		return req, nil, nil, err
+		return nil, err
 	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		return req, nil, nil, &httpError{code: http.StatusRequestEntityTooLarge,
-			msg: fmt.Sprintf("body exceeds %d bytes", s.cfg.MaxBodyBytes)}
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return req, nil, nil, badRequest("bad JSON body: %v", err)
+	if err := json.Unmarshal(body, req); err != nil {
+		return nil, badRequest("bad JSON body: %v", err)
 	}
 	if req.Lib == "" {
-		return req, nil, nil, badRequest("missing required field: lib")
+		return nil, badRequest("missing required field: lib")
 	}
 	if req.Slew <= 0 {
 		req.Slew = 0.01
 	}
 	_, lib, err := s.library(req.Lib)
 	if err != nil {
-		return req, nil, nil, err
+		return nil, err
 	}
-	var mod *netlist.Module
 	switch {
 	case req.Netlist != "":
-		if mod, err = netlist.Parse(req.Netlist); err != nil {
-			return req, nil, nil, badRequest("netlist: %v", err)
+		if run.mod, err = netlist.Parse(req.Netlist); err != nil {
+			return nil, badRequest("netlist: %v", err)
 		}
 	case req.Builtin == "chain":
 		n, cell := req.N, req.Cell
@@ -828,19 +842,41 @@ func (s *Server) decodeNetlistRequest(r *http.Request) (netlistRequest, *netlist
 		if cell == "" {
 			cell = "INV"
 		}
-		mod = netlist.Chain("chain", cell, n)
+		run.mod = netlist.Chain("chain", cell, n)
 	case req.Builtin == "rca16":
-		mod = netlist.RippleCarryAdder(16)
+		run.mod = netlist.RippleCarryAdder(16)
 	case req.Builtin == "buftree":
 		n := req.N
 		if n <= 0 {
 			n = 4
 		}
-		mod = netlist.BufferTree(n)
+		run.mod = netlist.BufferTree(n)
 	default:
-		return req, nil, nil, badRequest("provide netlist source or builtin (chain|rca16|buftree)")
+		return nil, badRequest("provide netlist source or builtin (chain|rca16|buftree)")
 	}
-	return req, mod, lib, nil
+	if err := check(req); err != nil {
+		return nil, err
+	}
+	if run.fams, err = parseFamilies(req.Families); err != nil {
+		return nil, err
+	}
+	if run.res, err = sta.Run(lib, run.mod, sta.Options{InputSlew: req.Slew, Families: run.fams}); err != nil {
+		return nil, err
+	}
+	return run, nil
+}
+
+// yields is the independence-product yield at clock under each family.
+func (run *netlistRun) yields(clock float64) (map[string]float64, error) {
+	out := make(map[string]float64, len(run.fams))
+	for _, fam := range run.fams {
+		y, err := run.res.YieldAtClock(run.mod, fam, clock)
+		if err != nil {
+			return nil, err
+		}
+		out[fam.String()] = y
+	}
+	return out, nil
 }
 
 func parseFamilies(names []string) ([]fit.Model, error) {
@@ -893,23 +929,14 @@ func (s *Server) handleSSTA(w http.ResponseWriter, r *http.Request) {
 		fail(w, r, &httpError{code: http.StatusMethodNotAllowed, msg: "POST a netlist request"})
 		return
 	}
-	req, mod, lib, err := s.decodeNetlistRequest(r)
+	run, err := s.runNetlist(r, func(*netlistRequest) error { return nil })
 	if err != nil {
 		fail(w, r, err)
 		return
 	}
-	fams, err := parseFamilies(req.Families)
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
-	res, err := sta.Run(lib, mod, sta.Options{InputSlew: req.Slew, Families: fams})
-	if err != nil {
-		fail(w, r, err)
-		return
-	}
+	mod, res := run.mod, run.res
 	nets := mod.Outputs()
-	if req.AllNets {
+	if run.req.AllNets {
 		nets = mod.Nets()
 	}
 	resp := sstaResponse{
@@ -942,15 +969,10 @@ func (s *Server) handleSSTA(w http.ResponseWriter, r *http.Request) {
 			Net: step.Net, Instance: step.Instance, Arrival: step.Arrival,
 		})
 	}
-	if req.Clock > 0 {
-		resp.Yield = make(map[string]float64, len(fams))
-		for _, fam := range fams {
-			y, err := res.YieldAtClock(mod, fam, req.Clock)
-			if err != nil {
-				fail(w, r, err)
-				return
-			}
-			resp.Yield[fam.String()] = y
+	if run.req.Clock > 0 {
+		if resp.Yield, err = run.yields(run.req.Clock); err != nil {
+			fail(w, r, err)
+			return
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -977,14 +999,9 @@ func (s *Server) handleLibraries(w http.ResponseWriter, r *http.Request) {
 		sort.Slice(infos, func(a, b int) bool { return infos[a].Name < infos[b].Name })
 		writeJSON(w, http.StatusOK, map[string]any{"libraries": infos})
 	case http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+		body, err := s.readBody(r, "library")
 		if err != nil {
 			fail(w, r, err)
-			return
-		}
-		if int64(len(body)) > s.cfg.MaxBodyBytes {
-			fail(w, r, &httpError{code: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("library exceeds %d bytes", s.cfg.MaxBodyBytes)})
 			return
 		}
 		name := r.URL.Query().Get("name")
@@ -1005,6 +1022,17 @@ func (s *Server) handleLibraries(w http.ResponseWriter, r *http.Request) {
 	default:
 		fail(w, r, &httpError{code: http.StatusMethodNotAllowed, msg: "GET or POST"})
 	}
+}
+
+// readBody reads an uploaded request body; one over MaxBodyBytes is a
+// 413 naming what was uploaded.
+func (s *Server) readBody(r *http.Request, what string) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+	if err == nil && int64(len(body)) > s.cfg.MaxBodyBytes {
+		err = &httpError{code: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("%s exceeds %d bytes", what, s.cfg.MaxBodyBytes)}
+	}
+	return body, err
 }
 
 // parseFloats parses a comma-separated float list.

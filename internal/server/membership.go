@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -218,26 +217,13 @@ func (p *replication) syncMembershipFrom(ctx context.Context, peer Peer) {
 	if peer.URL == "" {
 		return
 	}
-	rctx, cancel := context.WithTimeout(ctx, p.opts.ForwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, peer.URL+"/v1/fleet/membership", nil)
-	if err != nil {
-		return
-	}
-	resp, err := p.opts.Client.Do(req)
-	if err != nil {
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
+	resp, body, err := p.exchange(ctx, http.MethodGet, peer.URL+"/v1/fleet/membership", nil, peerJSONMax)
 	if err != nil || resp.StatusCode != http.StatusOK {
 		return
 	}
-	m, err := ParseMembership(body)
-	if err != nil {
-		return
+	if m, err := ParseMembership(body); err == nil {
+		p.adoptMembership(m, "peer-sync:"+peer.ID)
 	}
-	p.adoptMembership(m, "peer-sync:"+peer.ID)
 }
 
 // noteRequestEpoch reacts to the epoch a forwarding peer stamped on its
@@ -245,13 +231,8 @@ func (p *replication) syncMembershipFrom(ctx context.Context, peer Peer) {
 // before serving, so the ownership decision below uses the freshest
 // ring this replica can know.
 func (p *replication) noteRequestEpoch(r *http.Request) {
-	value := r.Header.Get(ringEpochHeader)
 	from := r.Header.Get(forwardedFromHeader)
-	if value == "" || from == "" {
-		return
-	}
-	theirs, err := strconv.ParseUint(value, 10, 64)
-	if err != nil || theirs <= p.epoch() {
+	if from == "" || !p.behind(r.Header.Get(ringEpochHeader)) {
 		return
 	}
 	v := p.view()
@@ -259,10 +240,9 @@ func (p *replication) noteRequestEpoch(r *http.Request) {
 	if !ok {
 		peer, ok = v.prevPeers[from]
 	}
-	if !ok {
-		return
+	if ok {
+		p.syncMembershipFrom(r.Context(), peer)
 	}
-	p.syncMembershipFrom(r.Context(), peer)
 }
 
 // ------------------------------------------------------ config watcher
@@ -348,61 +328,30 @@ func (s *Server) AnnounceMembership(ctx context.Context, m Membership) int {
 // postMembership CAS-posts a document to one peer, retrying transport
 // errors. On 409 it adopts the peer's answer when newer.
 func (p *replication) postMembership(ctx context.Context, peer Peer, body []byte) bool {
-	var lastErr error
-	for attempt := 0; attempt < p.opts.ForwardAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return false
-			case <-time.After(p.retryDelay(attempt)):
+	accepted := false
+	err := p.retry(ctx, nil, func() error {
+		resp, respBody, err := p.exchange(ctx, http.MethodPost, peer.URL+"/v1/fleet/membership",
+			body, peerJSONMax, "Content-Type", "application/json")
+		if err != nil {
+			return err
+		}
+		switch resp.StatusCode {
+		case http.StatusOK:
+			accepted = true
+		case http.StatusConflict:
+			var cr membershipConflict
+			if json.Unmarshal(respBody, &cr) == nil && cr.Current.Epoch > 0 {
+				p.adoptMembership(cr.Current, "cas-conflict:"+peer.ID)
 			}
+		default:
+			return fmt.Errorf("peer answered %d", resp.StatusCode)
 		}
-		accepted, conflict, err := p.postMembershipOnce(ctx, peer, body)
-		if err == nil {
-			if conflict != nil {
-				p.adoptMembership(*conflict, "cas-conflict:"+peer.ID)
-			}
-			return accepted
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	p.logger.Warn("lvf2d: membership announce failed", "peer", peer.ID, "reason", lastErr.Error())
-	return false
-}
-
-func (p *replication) postMembershipOnce(ctx context.Context, peer Peer, body []byte) (accepted bool, conflict *Membership, err error) {
-	rctx, cancel := context.WithTimeout(ctx, p.opts.ForwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost,
-		peer.URL+"/v1/fleet/membership", bytes.NewReader(body))
+		return nil
+	})
 	if err != nil {
-		return false, nil, err
+		p.logger.Warn("lvf2d: membership announce failed", "peer", peer.ID, "reason", err.Error())
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.opts.Client.Do(req)
-	if err != nil {
-		return false, nil, err
-	}
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if err != nil {
-		return false, nil, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, nil, nil
-	case http.StatusConflict:
-		var cr membershipConflict
-		if json.Unmarshal(respBody, &cr) == nil && cr.Current.Epoch > 0 {
-			return false, &cr.Current, nil
-		}
-		return false, nil, nil
-	default:
-		return false, nil, fmt.Errorf("peer answered %d", resp.StatusCode)
-	}
+	return accepted
 }
 
 // JoinFleet performs the graceful-join sequence for a replica booted
@@ -442,10 +391,6 @@ type membershipConflict struct {
 // answers 409 with the current document.
 func (s *Server) handleFleetMembership(w http.ResponseWriter, r *http.Request) {
 	p := s.repl
-	if p == nil {
-		fail(w, r, &httpError{code: http.StatusNotFound, msg: "replication is not configured"})
-		return
-	}
 	switch r.Method {
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, p.view().membership)
@@ -500,10 +445,6 @@ type drainResponse struct {
 // while still serving (misses now always forward or compute locally).
 func (s *Server) handleFleetDrain(w http.ResponseWriter, r *http.Request) {
 	p := s.repl
-	if p == nil {
-		fail(w, r, &httpError{code: http.StatusNotFound, msg: "replication is not configured"})
-		return
-	}
 	if r.Method != http.MethodPost {
 		fail(w, r, &httpError{code: http.StatusMethodNotAllowed, msg: "use POST"})
 		return
@@ -569,56 +510,25 @@ func (s *Server) handleFleetDrain(w http.ResponseWriter, r *http.Request) {
 // pushSnapshot POSTs a snapshot slice to a peer's ingest endpoint,
 // returning how many models the peer reported restoring.
 func (p *replication) pushSnapshot(ctx context.Context, peer Peer, slice []byte) int {
-	var lastErr error
-	for attempt := 0; attempt < p.opts.ForwardAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return 0
-			case <-time.After(p.retryDelay(attempt)):
-			}
-		}
-		n, err := p.pushSnapshotOnce(ctx, peer, slice)
-		if err == nil {
-			return n
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	p.logger.Warn("lvf2d: drain handoff failed", "peer", peer.ID, "reason", lastErr.Error())
-	return 0
-}
-
-func (p *replication) pushSnapshotOnce(ctx context.Context, peer Peer, slice []byte) (int, error) {
-	rctx, cancel := context.WithTimeout(ctx, p.opts.ForwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost,
-		peer.URL+"/v1/peer/snapshot", bytes.NewReader(slice))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := p.opts.Client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("peer answered %d", resp.StatusCode)
-	}
 	var out struct {
 		Restored int `json:"restored"`
 	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		return 0, err
+	err := p.retry(ctx, nil, func() error {
+		resp, body, err := p.exchange(ctx, http.MethodPost, peer.URL+"/v1/peer/snapshot",
+			slice, peerJSONMax, "Content-Type", "application/octet-stream")
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("peer answered %d", resp.StatusCode)
+		}
+		return json.Unmarshal(body, &out)
+	})
+	if err != nil {
+		p.logger.Warn("lvf2d: drain handoff failed", "peer", peer.ID, "reason", err.Error())
+		return 0
 	}
-	return out.Restored, nil
+	return out.Restored
 }
 
 // ---------------------------------------------------------- anti-entropy
@@ -637,19 +547,10 @@ type peerDigest struct {
 // order-independent digest of this replica's cached models owned by ID
 // under the current ring.
 func (s *Server) handlePeerDigest(w http.ResponseWriter, r *http.Request) {
-	p := s.repl
-	if p == nil {
-		fail(w, r, &httpError{code: http.StatusNotFound, msg: "replication is not configured"})
-		return
-	}
-	v := p.view()
-	owner := r.URL.Query().Get("owner")
-	member := false
-	for _, m := range v.ring.Members() {
-		member = member || m == owner
-	}
-	if owner == "" || !member {
-		fail(w, r, badRequest("owner %q is not a ring member", owner))
+	v := s.repl.view()
+	owner, err := ringOwnerParam(r, v)
+	if err != nil {
+		fail(w, r, err)
 		return
 	}
 	count, digest := s.cache.DigestModels(func(k modelcache.ModelKey) bool {
@@ -663,30 +564,16 @@ func (s *Server) handlePeerDigest(w http.ResponseWriter, r *http.Request) {
 
 // fetchDigest pulls one peer's digest of this replica's owned keys.
 func (p *replication) fetchDigest(ctx context.Context, peer Peer) (peerDigest, error) {
-	rctx, cancel := context.WithTimeout(ctx, p.opts.ForwardTimeout)
-	defer cancel()
-	u := peer.URL + "/v1/peer/digest?owner=" + url.QueryEscape(p.self)
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, u, nil)
-	if err != nil {
-		return peerDigest{}, err
-	}
-	resp, err := p.opts.Client.Do(req)
-	if err != nil {
-		return peerDigest{}, err
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if err != nil {
-		return peerDigest{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return peerDigest{}, fmt.Errorf("peer answered %d", resp.StatusCode)
-	}
 	var d peerDigest
-	if err := json.Unmarshal(body, &d); err != nil {
-		return peerDigest{}, err
+	resp, body, err := p.exchange(ctx, http.MethodGet,
+		peer.URL+"/v1/peer/digest?owner="+url.QueryEscape(p.self), nil, peerJSONMax)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("peer answered %d", resp.StatusCode)
 	}
-	return d, nil
+	if err == nil {
+		err = json.Unmarshal(body, &d)
+	}
+	return d, err
 }
 
 // AntiEntropyOnce runs one repair round: for every healthy peer,

@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -94,18 +95,8 @@ func ParsePeers(specs []string) ([]Peer, error) {
 			if !ok || id == "" {
 				return nil, &PeerConfigError{Entry: entry, Reason: "want id=url"}
 			}
-			u, err := url.Parse(rawURL)
-			if err != nil {
-				return nil, &PeerConfigError{Entry: entry, Reason: fmt.Sprintf("bad URL: %v", err)}
-			}
-			if u.Scheme != "http" && u.Scheme != "https" {
-				return nil, &PeerConfigError{Entry: entry, Reason: fmt.Sprintf("unsupported scheme %q (want http or https)", u.Scheme)}
-			}
-			if u.Host == "" {
-				return nil, &PeerConfigError{Entry: entry, Reason: "missing host"}
-			}
-			if (u.Path != "" && u.Path != "/") || u.RawQuery != "" || u.Fragment != "" {
-				return nil, &PeerConfigError{Entry: entry, Reason: "URL must be a bare base (no path, query or fragment)"}
+			if err := validateBaseURL(rawURL); err != nil {
+				return nil, &PeerConfigError{Entry: entry, Reason: err.Error()}
 			}
 			peers = append(peers, Peer{ID: id, URL: strings.TrimSuffix(rawURL, "/")})
 		}
@@ -185,9 +176,11 @@ type ReplicationOptions struct {
 	// AntiEntropyInterval is the background digest-exchange cadence
 	// (default 30s).
 	AntiEntropyInterval time.Duration
-	// SnapshotMaxBytes caps one /v1/peer/snapshot transfer in both
-	// directions: the server truncates its export (newest entries
-	// kept) and the client refuses to read past it (default 64 MiB).
+	// SnapshotMaxBytes is the peer-transfer cap (default 64 MiB). It
+	// caps one /v1/peer/snapshot transfer in both directions — the
+	// server truncates its export (newest entries kept) and the client
+	// refuses to read past it — and one forwarded answer: an owner's
+	// response over the cap is refused and answered locally.
 	SnapshotMaxBytes int64
 	// Breaker tunes the per-peer circuit breaker (defaults as
 	// BreakerOptions; JitterSeed also seeds the retry jitter).
@@ -447,6 +440,73 @@ func (p *replication) retryDelay(attempt int) time.Duration {
 	return d + time.Duration(j*0.5*float64(d))
 }
 
+// retry is the replication layer's one retry policy: up to
+// ForwardAttempts calls of attempt, with a retryDelay wait before each
+// retry. It stops at the first success (nil), and early when ctx ends —
+// during a wait it returns ctx.Err(), after a failed attempt that
+// attempt's error. onRetry, when non-nil, runs before each retry's wait.
+func (p *replication) retry(ctx context.Context, onRetry func(), attempt func() error) error {
+	var err error
+	for n := 0; n < p.opts.ForwardAttempts; n++ {
+		if n > 0 {
+			if onRetry != nil {
+				onRetry()
+			}
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(p.retryDelay(n)):
+			}
+		}
+		if err = attempt(); err == nil || ctx.Err() != nil {
+			return err
+		}
+	}
+	return err
+}
+
+// peerJSONMax caps the small JSON bodies of the peer protocol: /readyz,
+// membership documents, digests and ingest acknowledgements.
+const peerJSONMax = 1 << 20
+
+// exchange is the replication layer's one peer request: method u under
+// the per-attempt ForwardTimeout, with body (nil for none) and header
+// name/value pairs. The response body is read under a single size
+// guard — a declared Content-Length over limit is refused before the
+// read and an undeclared one is cut off by a LimitReader — so a huge or
+// lying peer can never balloon this replica's heap past limit.
+func (p *replication) exchange(ctx context.Context, method, u string, body []byte, limit int64, header ...string) (*http.Response, []byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, p.opts.ForwardTimeout)
+	defer cancel()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, u, rd)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := p.opts.Client.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	if resp.ContentLength > limit {
+		return nil, nil, fmt.Errorf("peer response declares %d bytes, cap is %d", resp.ContentLength, limit)
+	}
+	b, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, nil, err
+	}
+	if int64(len(b)) > limit {
+		return nil, nil, fmt.Errorf("peer response exceeds %d-byte cap", limit)
+	}
+	return resp, b, nil
+}
+
 // maybeForward routes a resolved arc query to its ring owner. It
 // returns true when the response has been fully written (a successful
 // forward). Returning false means the caller must answer locally —
@@ -513,70 +573,45 @@ func (p *replication) forward(w http.ResponseWriter, r *http.Request, peer Peer)
 		p.reqs.Inc(owner, "breaker_open")
 		return false
 	}
-	var lastErr error = fmt.Errorf("no forward attempts")
-	for attempt := 0; attempt < p.opts.ForwardAttempts; attempt++ {
-		if attempt > 0 {
-			p.reqs.Inc(owner, "retry")
-			select {
-			case <-r.Context().Done():
-				p.breakers.done(owner, probe, r.Context().Err())
-				return false
-			case <-time.After(p.retryDelay(attempt)):
-			}
-		}
-		status, header, body, err := p.forwardOnce(r, peer)
-		if err == nil {
-			p.breakers.done(owner, probe, nil)
-			p.reqs.Inc(owner, "ok")
-			relayResponse(w, status, header, body, owner)
-			p.noteEpochHeader(header.Get(ringEpochHeader), peer)
-			return true
-		}
-		lastErr = err
-		if r.Context().Err() != nil {
-			break
-		}
+	var resp *http.Response
+	var body []byte
+	err := p.retry(r.Context(), func() { p.reqs.Inc(owner, "retry") }, func() (err error) {
+		resp, body, err = p.forwardOnce(r, peer)
+		return err
+	})
+	p.breakers.done(owner, probe, err)
+	if err != nil {
+		return false
 	}
-	p.breakers.done(owner, probe, lastErr)
-	return false
+	p.reqs.Inc(owner, "ok")
+	relayResponse(w, resp.StatusCode, resp.Header, body, owner)
+	p.noteEpochHeader(resp.Header.Get(ringEpochHeader), peer)
+	return true
 }
 
-// forwardOnce issues one forwarded request under the per-peer deadline
-// and verifies the owner's body checksum, so a corrupted or truncated
-// peer response surfaces as a retryable error instead of reaching the
-// client.
-func (p *replication) forwardOnce(r *http.Request, peer Peer) (int, http.Header, []byte, error) {
-	ctx, cancel := context.WithTimeout(r.Context(), p.opts.ForwardTimeout)
-	defer cancel()
-	u := peer.URL + r.URL.RequestURI()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	req.Header.Set(forwardedFromHeader, p.self)
-	req.Header.Set(ringEpochHeader, strconv.FormatUint(p.epoch(), 10))
+// forwardOnce issues one forwarded request, capped like every peer
+// transfer at SnapshotMaxBytes, and verifies the owner's body checksum,
+// so a corrupted, truncated or oversize peer response surfaces as a
+// retryable error instead of reaching the client.
+func (p *replication) forwardOnce(r *http.Request, peer Peer) (*http.Response, []byte, error) {
 	start := time.Now()
-	resp, err := p.opts.Client.Do(req)
+	resp, body, err := p.exchange(r.Context(), http.MethodGet, peer.URL+r.URL.RequestURI(), nil,
+		p.opts.SnapshotMaxBytes, forwardedFromHeader, p.self, ringEpochHeader, strconv.FormatUint(p.epoch(), 10))
 	if err != nil {
-		return 0, nil, nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return 0, nil, nil, err
+		return nil, nil, err
 	}
 	// Only verified 200s relay. Anything else (the owner shedding,
 	// degraded handling of our own bug, a proxy error page) answers
 	// better from the local compute path.
 	if resp.StatusCode != http.StatusOK {
-		return 0, nil, nil, fmt.Errorf("owner %s answered %d", peer.ID, resp.StatusCode)
+		return nil, nil, fmt.Errorf("owner %s answered %d", peer.ID, resp.StatusCode)
 	}
 	sum := sha256.Sum256(body)
 	if got := resp.Header.Get(bodySumHeader); got != hex.EncodeToString(sum[:]) {
-		return 0, nil, nil, fmt.Errorf("owner %s body checksum mismatch (len %d)", peer.ID, len(body))
+		return nil, nil, fmt.Errorf("owner %s body checksum mismatch (len %d)", peer.ID, len(body))
 	}
 	p.forwardSeconds.Observe(time.Since(start).Seconds())
-	return resp.StatusCode, resp.Header, body, nil
+	return resp, body, nil
 }
 
 // noteEpochHeader reacts to a peer's advertised membership epoch after
@@ -585,16 +620,16 @@ func (p *replication) forwardOnce(r *http.Request, peer Peer) (int, http.Header,
 // only extra forward hops (answers stay bit-identical), so the pull is
 // best-effort and off the client's critical path.
 func (p *replication) noteEpochHeader(value string, peer Peer) {
-	if value == "" {
-		return
+	if p.behind(value) {
+		p.syncMembershipFrom(context.Background(), peer)
 	}
-	theirs, err := strconv.ParseUint(value, 10, 64)
-	if err != nil || theirs <= p.epoch() {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), p.opts.ForwardTimeout)
-	defer cancel()
-	p.syncMembershipFrom(ctx, peer)
+}
+
+// behind reports whether an advertised X-LVF2-Ring-Epoch value is newer
+// than this replica's epoch.
+func (p *replication) behind(advertised string) bool {
+	theirs, err := strconv.ParseUint(advertised, 10, 64)
+	return err == nil && theirs > p.epoch()
 }
 
 // relayResponse writes a verified owner response to the client,
@@ -681,24 +716,15 @@ func (b *bufferedResponse) Write(p []byte) (int, error) {
 // POST ingests a snapshot slice pushed by a peer — the key-handoff leg
 // of a graceful drain — and merges it into the model cache.
 func (s *Server) handlePeerSnapshot(w http.ResponseWriter, r *http.Request) {
-	p := s.repl
-	if p == nil {
-		fail(w, r, &httpError{code: http.StatusNotFound, msg: "replication is not configured"})
-		return
-	}
 	if r.Method == http.MethodPost {
 		s.handlePeerSnapshotIngest(w, r)
 		return
 	}
+	p := s.repl
 	v := p.view()
-	owner := r.URL.Query().Get("owner")
-	member := false
-	for _, m := range v.ring.Members() {
-		member = member || m == owner
-	}
-	if owner == "" || !member {
-		fail(w, r, badRequest("owner %q is not a ring member (members: %s)",
-			owner, strings.Join(v.ring.Members(), ", ")))
+	owner, err := ringOwnerParam(r, v)
+	if err != nil {
+		fail(w, r, err)
 		return
 	}
 	maxBytes := p.opts.SnapshotMaxBytes
@@ -722,6 +748,17 @@ func (s *Server) handlePeerSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(slice)))
 	w.Header().Set(ringEpochHeader, strconv.FormatUint(v.epoch, 10))
 	w.Write(slice)
+}
+
+// ringOwnerParam reads the owner= parameter of the peer snapshot and
+// digest endpoints, which must name a member of the current ring.
+func ringOwnerParam(r *http.Request, v fleetView) (string, error) {
+	owner := r.URL.Query().Get("owner")
+	members := v.ring.Members()
+	if owner == "" || !slices.Contains(members, owner) {
+		return "", badRequest("owner %q is not a ring member (members: %s)", owner, strings.Join(members, ", "))
+	}
+	return owner, nil
 }
 
 // handlePeerSnapshotIngest merges a pushed snapshot slice (drain
@@ -778,69 +815,28 @@ func (s *Server) WarmSeedFromPeers(ctx context.Context) int {
 
 // fetchSnapshotSlice retrieves one peer's owned-key export, retrying
 // transport errors and corrupt payloads (the snapshot's own checksum
-// catches those) under the usual per-attempt deadline.
+// catches those).
 func (p *replication) fetchSnapshotSlice(ctx context.Context, peer Peer) ([]byte, error) {
 	u := peer.URL + "/v1/peer/snapshot?owner=" + url.QueryEscape(p.self) +
 		"&max_bytes=" + strconv.FormatInt(p.opts.SnapshotMaxBytes, 10)
-	var lastErr error
-	for attempt := 0; attempt < p.opts.ForwardAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(p.retryDelay(attempt)):
-			}
+	var slice []byte
+	err := p.retry(ctx, nil, func() error {
+		resp, body, err := p.exchange(ctx, http.MethodGet, u, nil, p.opts.SnapshotMaxBytes)
+		if err != nil {
+			return err
 		}
-		slice, err := p.fetchSnapshotOnce(ctx, u)
-		if err == nil {
-			return slice, nil
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("peer answered %d", resp.StatusCode)
 		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
+		// Validate before accepting so a corrupted body retries here rather
+		// than surfacing from RestoreModels after the retry budget is gone.
+		if _, err := modelcache.DecodeSnapshot(body); err != nil {
+			return err
 		}
-	}
-	return nil, lastErr
-}
-
-func (p *replication) fetchSnapshotOnce(ctx context.Context, u string) ([]byte, error) {
-	rctx, cancel := context.WithTimeout(ctx, p.opts.ForwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := p.opts.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	// Guard the read before it happens: a declared oversize body is
-	// rejected on the Content-Length alone, and an undeclared one is cut
-	// off by the LimitReader — a huge (or lying) donor can never balloon
-	// a booting peer's heap past the configured cap.
-	cap := p.opts.SnapshotMaxBytes
-	if resp.ContentLength > cap {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1))
-		resp.Body.Close()
-		return nil, fmt.Errorf("peer snapshot declares %d bytes, cap is %d", resp.ContentLength, cap)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, cap+1))
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(body)) > cap {
-		return nil, fmt.Errorf("peer snapshot exceeds %d-byte cap", cap)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("peer answered %d", resp.StatusCode)
-	}
-	// Validate before accepting so a corrupted body retries here rather
-	// than surfacing from RestoreModels after the retry budget is gone.
-	if _, err := modelcache.DecodeSnapshot(body); err != nil {
-		return nil, err
-	}
-	return body, nil
+		slice = body
+		return nil
+	})
+	return slice, err
 }
 
 // ProbePeersOnce probes every peer's /readyz once, updating the
@@ -873,18 +869,7 @@ func (s *Server) ProbePeersOnce(ctx context.Context) {
 // membership epoch the peer advertises. A warming or draining peer
 // answers non-200 — not forwardable — but its epoch still counts.
 func (p *replication) probeOne(ctx context.Context, peer Peer) (bool, uint64) {
-	rctx, cancel := context.WithTimeout(ctx, p.opts.ForwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, peer.URL+"/readyz", nil)
-	if err != nil {
-		return false, 0
-	}
-	resp, err := p.opts.Client.Do(req)
-	if err != nil {
-		return false, 0
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
+	resp, body, err := p.exchange(ctx, http.MethodGet, peer.URL+"/readyz", nil, peerJSONMax)
 	if err != nil {
 		return false, 0
 	}

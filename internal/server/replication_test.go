@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -193,7 +197,7 @@ func (f *testFleet) handlers() map[string]http.Handler { return f.ft.handlers }
 // ownerOf resolves the ring owner of one arc-query URL as seen by s.
 func ownerOf(t testing.TB, s *Server, rawURL string) string {
 	t.Helper()
-	aq, err := parseArcQuery(httptest.NewRequest(http.MethodGet, rawURL, nil))
+	aq, err := parseArcQuery(httptest.NewRequest(http.MethodGet, rawURL, nil).URL.Query())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,6 +518,89 @@ func TestForwardPartitionAsymmetric(t *testing.T) {
 			rec.Code, forwardHeader, rec.Header().Get(forwardHeader))
 	}
 	faults.SetPartition()
+}
+
+// TestMalformedQueryNeverLeavesReplica pins the parse-first order of the
+// arc pipeline: a malformed query for a key another replica owns is a
+// 400 on the replica it landed on. It is never forwarded, never counted
+// against the owner's breaker, and starts no fit on either replica.
+func TestMalformedQueryNeverLeavesReplica(t *testing.T) {
+	ft := newFleetTransport()
+	f := newTestFleet(t, []string{"a", "b"}, ft, ft, nil)
+	a, b := f.server("a"), f.server("b")
+	var cdf string // a b-owned key that needs a fit
+	for _, u := range replGridURLs() {
+		if strings.HasPrefix(u, "/v1/arc/cdf") && strings.Contains(u, "kind=norm2") && ownerOf(t, a, u) == "b" {
+			cdf = u
+			break
+		}
+	}
+	if cdf == "" {
+		t.Fatal("grid has no b-owned norm2 cdf URL")
+	}
+	binning := strings.Replace(cdf, "/v1/arc/cdf", "/v1/arc/binning", 1)
+	yield := strings.Replace(cdf, "/v1/arc/cdf", "/v1/yield", 1)
+	for _, u := range []string{
+		cdf + "&n=1", cdf + "&n=5000", cdf + "&n=x", cdf + "&points=0.1,zz", cdf + "&points=,",
+		binning + "&prices=1,2", binning + "&prices=a,b,c,d,e,f,g,h",
+		yield + "&estimator=bogus", yield + "&estimator=mc&ci=0.9", yield + "&ci=0.01",
+	} {
+		if rec, body := get(t, a.Handler(), u); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s = %d, want 400: %s", u, rec.Code, body)
+		}
+	}
+	for _, outcome := range []string{"ok", "retry", "local_fallback", "breaker_open"} {
+		if n := a.repl.reqs.Value("b", outcome); n != 0 {
+			t.Fatalf("lvf2d_peer_requests_total{peer=b,outcome=%s} = %d, want 0", outcome, n)
+		}
+	}
+	if st := a.repl.breakers.stateOf("b"); st != breakerClosed {
+		t.Fatalf("b's breaker on a = %v, want closed", st)
+	}
+	for id, s := range map[string]*Server{"a": a, "b": b} {
+		if st := s.cache.ModelStats(); st.Entries != 0 || st.Misses != 0 {
+			t.Fatalf("%s's model cache moved (%d entries, %d misses) on malformed queries", id, st.Entries, st.Misses)
+		}
+	}
+}
+
+// TestForwardRejectsOversizeAnswer pins the forwarded-answer cap: an
+// owner's 200 larger than SnapshotMaxBytes is refused even when its
+// checksum is valid, declared Content-Length or not, and the client gets
+// the local-fallback answer, bit-identical to a standalone server's.
+func TestForwardRejectsOversizeAnswer(t *testing.T) {
+	solo := newTestServer(t, func(c *Config) { c.FitSamples = 300 })
+	solo.Bootstrap()
+	for _, declare := range []bool{true, false} {
+		ft := newFleetTransport()
+		f := newTestFleet(t, []string{"a", "b"}, ft, ft, func(id string, c *Config) {
+			c.Replication.SnapshotMaxBytes = 64 << 10
+		})
+		a := f.server("a")
+		url := urlOwnedBy(t, a, "b")
+		// b turns rogue: a checksummed 200 four times over the cap.
+		huge := bytes.Repeat([]byte{'x'}, 256<<10)
+		sum := sha256.Sum256(huge)
+		ft.set(replHost("b"), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set(bodySumHeader, hex.EncodeToString(sum[:]))
+			if declare {
+				w.Header().Set("Content-Length", strconv.Itoa(len(huge)))
+			}
+			w.Write(huge)
+		}))
+
+		rec, body := get(t, a.Handler(), url)
+		if rec.Code != http.StatusOK || rec.Header().Get(forwardHeader) != forwardOutcomeFallback {
+			t.Fatalf("declare=%v: code %d %s=%q, want local-fallback 200",
+				declare, rec.Code, forwardHeader, rec.Header().Get(forwardHeader))
+		}
+		if _, want := get(t, solo.Handler(), url); !bytes.Equal(body, want) {
+			t.Fatalf("declare=%v: fallback body differs from standalone compute", declare)
+		}
+		if n := a.repl.reqs.Value("b", "ok"); n != 0 {
+			t.Fatalf("declare=%v: oversize answer counted as %d ok forwards", declare, n)
+		}
+	}
 }
 
 // --------------------------------------------------- snapshot + warm-seed
